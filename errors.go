@@ -49,3 +49,10 @@ var ErrBatchAborted = errors.New("patree: batch aborted")
 // ErrValueTooLarge is returned by writes whose value exceeds
 // MaxValueSize.
 var ErrValueTooLarge = core.ErrValueTooLarge
+
+// ErrNoSpace is returned by a write that would need a new page when the
+// shard holding its key has no room left for a worst-case split: its
+// pages may not grow into the journal region or past the end of its
+// device or partition. The write fails before anything changes; reads,
+// deletes and writes that fit their leaf keep working.
+var ErrNoSpace = core.ErrNoSpace

@@ -216,7 +216,7 @@ func Format(th *simos.Thread, sched *simos.Sched, io syncbtree.IO, cfg Config) (
 		cache:  syncbtree.NewCache(cfg.CachePages, io),
 		rootID: 1,
 		height: 1,
-		alloc:  storage.NewAllocator(2),
+		alloc:  storage.NewAllocator(2, 0),
 	}
 	root := &node{id: 1, leaf: true}
 	if err := io.Write(th, 1, root.encode()); err != nil {

@@ -63,7 +63,7 @@ func NewTree(sched *simos.Sched, io IO, cfg Config, meta *storage.Meta) *Tree {
 		rootID:  meta.Root,
 		height:  int(meta.Height),
 		numKeys: meta.NumKeys,
-		alloc:   storage.NewAllocator(meta.Watermark),
+		alloc:   storage.NewAllocator(meta.Watermark, 0),
 	}
 }
 

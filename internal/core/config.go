@@ -192,15 +192,6 @@ type Config struct {
 	// completions, so speculation fills idle submission slots instead of
 	// competing with demand I/O.
 	SpecBudget int
-	// WALWriteDepth bounds how many WAL block writes the tree-level
-	// journal writer keeps in flight at once. 0 or 1 is the classic
-	// single-in-flight writer (byte-identical schedules); higher values
-	// pipeline writes of distinct log blocks — rewrites of a block with a
-	// write still in flight queue behind it, and the durability watermark
-	// only advances over the contiguous completed prefix of the log, so
-	// log order and the gate-before-mutation rule are preserved. See
-	// DESIGN.md §17.
-	WALWriteDepth int
 }
 
 // WithDefaults fills zero fields.
@@ -224,9 +215,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.SpeculativePrefetch && c.SpecBudget <= 0 {
 		c.SpecBudget = 16
-	}
-	if c.WALWriteDepth < 1 {
-		c.WALWriteDepth = 1
 	}
 	if c.Policy == nil {
 		m, err := probe.Default()

@@ -246,6 +246,9 @@ type Op struct {
 	// [3]); if the leaf turns out to need a split, the operation restarts
 	// with exclusive coupling the whole way down.
 	pessimistic bool
+	// splitReserve is the allocator headroom the pessimistic attempt
+	// holds (Tree.spaceGate), returned at teardown.
+	splitReserve uint64
 
 	// Per-key dependency chain (see Tree.keyDeps): keyGated marks a point
 	// operation registered in its key's chain; keyNext is the next point
@@ -402,6 +405,7 @@ func (o *Op) reset() {
 	o.latchWait = 0
 	o.ioWait = 0
 	o.pessimistic = false
+	o.splitReserve = 0
 	o.keyGated = false
 	o.keyNext = nil
 	o.pendingMark = false

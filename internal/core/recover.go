@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/patree/patree/internal/nvme"
@@ -92,6 +93,7 @@ func (r *recoverIO) do(cmd *nvme.Command) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("core: recovery I/O timed out")
 		}
+		runtime.Gosched() // let a real-time device's goroutines serve it
 	}
 	return ioErr
 }

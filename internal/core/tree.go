@@ -42,6 +42,13 @@ var ErrBacklog = errors.New("core: admission ring full")
 // Tree.FailCause reports the underlying device error.
 var ErrDeviceFailed = errors.New("core: device failed")
 
+// ErrNoSpace is returned by an insert or update that would have to split
+// a page when the shard's page range (everything below its journal
+// region, or its whole partition without one) cannot hold a worst-case
+// split. It fails before any page is touched; reads, deletes and writes
+// that fit their leaf keep working.
+var ErrNoSpace = errors.New("core: no space for new pages")
+
 // errCorruptRead marks a read whose page image failed its checksum
 // (bit rot, or a torn write surfacing later). It is transient from the
 // retry machinery's point of view: a re-read may return clean data.
@@ -132,6 +139,9 @@ type Tree struct {
 	numKeys   uint64
 	syncEpoch uint64
 	alloc     *storage.Allocator
+	// splitReserved sums the allocator headroom held by live pessimistic
+	// inserts (spaceGate), so concurrent splits never outrun the limit.
+	splitReserved uint64
 
 	// Shard and device identity from the opening meta, copied into every
 	// meta image the tree writes so checkpoints and root moves can never
@@ -191,16 +201,11 @@ type Tree struct {
 	// only when the contiguous prefix of entries up to it has completed,
 	// so the durable prefix is always contiguous.
 	//
-	// jwDepth (Config.WALWriteDepth) selects the writer: 1 is the classic
-	// single-in-flight writer (jwBusy/jwRetries, one write at a time,
-	// byte-identical schedules); >1 pipelines writes of distinct log
-	// blocks up to that depth (jwInflight gauges them, retry budgets move
-	// per entry) while a rewrite of a block with a write still in flight
-	// queues behind it. See DESIGN.md §17.
+	// Writes of distinct log blocks are pipelined up to walWriteDepth
+	// (jwInflight gauges them, retry budgets are per entry) while a
+	// rewrite of a block with a write still in flight queues behind it.
+	// See DESIGN.md §11.
 	jwq        []*jwEntry
-	jwBusy     bool
-	jwRetries  int
-	jwDepth    int
 	jwInflight int
 
 	// Speculative child prefetch (Config.SpeculativePrefetch; see
@@ -307,9 +312,8 @@ type retryEntry struct {
 // jwEntry is one WAL block image queued for the tree-level writer.
 // certify, when non-zero, is the log byte watermark that becomes
 // durable once this write (and every entry before it) completes — set
-// on a flush's final block. inflight/done/retries serve the pipelined
-// writer only (Config.WALWriteDepth > 1): the entry's position in its
-// submit→complete lifecycle and its per-entry transient-retry budget.
+// on a flush's final block. inflight/done track the entry's
+// submit→complete lifecycle; retries is its transient-retry budget.
 type jwEntry struct {
 	id       storage.PageID
 	data     []byte
@@ -336,7 +340,7 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 		height:    int(meta.Height),
 		numKeys:   meta.NumKeys,
 		syncEpoch: meta.SyncEpoch,
-		alloc:     storage.NewAllocator(meta.Watermark),
+		alloc:     storage.NewAllocator(meta.Watermark, pageLimit(dev, meta)),
 		latches:   latch.NewTable(),
 		inflight:  make(map[storage.PageID][]byte),
 		policy:    cfg.Policy,
@@ -350,7 +354,6 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	t.walStart = meta.WALStart
 	t.walBlocks = meta.WALBlocks
 	t.metaWALGen = meta.WALGen
-	t.jwDepth = cfg.WALWriteDepth
 	if cfg.Journal && meta.WALBlocks > 0 && meta.WALStart > 0 {
 		t.wal = wal.NewLog(storage.PageSize, meta.WALBlocks)
 		g := meta.WALGen
@@ -491,6 +494,7 @@ func syncIO(dev nvme.Device, cmd *nvme.Command) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("core: sync I/O timed out")
 		}
+		runtime.Gosched() // let a real-time device's goroutines serve it
 	}
 	return ioErr
 }
@@ -1350,9 +1354,12 @@ func (t *Tree) processNode(o *Op) bool {
 				return true
 			}
 		}
-		o.pessimistic = true
 		t.releaseAll(o)
 		o.state = stEntry
+		if !t.spaceGate(o) {
+			return true // failed, or deferred before touching a page
+		}
+		o.pessimistic = true
 		return false
 	}
 
@@ -2126,6 +2133,13 @@ const journalRecordBytes = 18 + storage.PageSize
 // fits.
 const maxJournalGroup = 24
 
+// walWriteDepth bounds the WAL block writes the tree-level writer keeps
+// in flight. Every redo record is a full page image spanning two log
+// blocks, so one write at a time would leave the device idle for a round
+// trip per block while the writer's ops hold their leaves. On a
+// journaled churn mix, depths 4 and 32 measured no faster than 8.
+const walWriteDepth = 8
+
 // journalGate defers a mutating operation while the journal cannot
 // accept its redo group: during a checkpoint's append fence, or when the
 // region lacks headroom for a worst-case group (which triggers a
@@ -2238,7 +2252,7 @@ func (t *Tree) jwEnqueue(id storage.PageID, data []byte) {
 	copy(cp, data)
 	if n := len(t.jwq); n > 0 {
 		tail := t.jwq[n-1]
-		if tail.id == id && !tail.inflight && !tail.done && !(n == 1 && t.jwBusy) {
+		if tail.id == id && !tail.inflight && !tail.done {
 			tail.data = cp
 			return
 		}
@@ -2247,81 +2261,25 @@ func (t *Tree) jwEnqueue(id storage.PageID, data []byte) {
 }
 
 // jwActive reports whether the tree-level WAL writer still has work
-// queued or in flight — the checkpoint pipeline's drain check, valid
-// for both the single-in-flight and the pipelined writer.
+// queued or in flight — the checkpoint pipeline's drain check.
 func (t *Tree) jwActive() bool {
-	return t.jwBusy || t.jwInflight > 0 || len(t.jwq) > 0
+	return t.jwInflight > 0 || len(t.jwq) > 0
 }
 
-// jwKick submits queued WAL block writes. Called after enqueueing and
-// from the main loop (to recover from a full submission queue).
-// With WALWriteDepth 1 it is the classic writer: one write in flight,
-// completions chain the next submit, the queue drains one ordered write
-// at a time. With WALWriteDepth > 1 it dispatches to the pipelined
-// writer instead.
+// jwKick keeps up to walWriteDepth WAL block writes in flight. Called
+// after enqueueing, from completions, and from the main loop (to recover
+// from a full submission queue). Writes of distinct log blocks overlap;
+// an entry whose block has an earlier not-yet-landed entry (an in-flight
+// tail rewrite) stays queued behind it so same-block submission order —
+// and therefore log order on the device — is preserved. The durability
+// watermark advances only over the contiguous completed prefix
+// (jwAdvance), so an out-of-order completion can never certify bytes an
+// earlier write could still revert.
 func (t *Tree) jwKick() {
-	if t.jwDepth > 1 {
-		t.jwKickPipelined()
-		return
-	}
-	if t.jwBusy || len(t.jwq) == 0 || t.failed {
-		return
-	}
-	e := t.jwq[0]
-	submitted := t.now()
-	cmd := &nvme.Command{Op: nvme.OpWrite, LBA: uint64(e.id), Blocks: 1, Buf: e.data}
-	cmd.Callback = func(c nvme.Completion) {
-		t.ioBlocked--
-		now := t.now()
-		t.policy.OnDetected(nvme.OpWrite, submitted, now)
-		if t.tr != nil {
-			t.tr.Emit(tcIOWrite, classNone, 0, uint64(e.id), int64(submitted), int64(now.Sub(submitted)))
-		}
-		t.jwBusy = false
-		if c.Err != nil {
-			t.stats.IOErrors++
-			if transientIOErr(c.Err) && t.jwRetries < t.cfg.MaxIORetries {
-				t.jwRetries++
-				t.stats.IORetries++
-				t.jwKick() // resubmit the same entry
-				return
-			}
-			t.enterFailed(c.Err)
-			t.jwq = t.jwq[:0]
-			t.promoteJWaiters() // failed: wake parked ops so they drain
-			return
-		}
-		t.jwRetries = 0
-		t.jwq = t.jwq[1:]
-		if e.certify > t.jDurable {
-			t.jDurable = e.certify
-			t.promoteJWaiters()
-		}
-		t.jwKick()
-	}
-	t.charge(metrics.CatNVMe, t.cfg.Costs.IOSubmit)
-	if err := t.qp.Submit(cmd); err != nil {
-		return // queue full: the main loop kicks again
-	}
-	t.policy.OnSubmit(nvme.OpWrite, submitted)
-	t.ioBlocked++
-	t.stats.WritesIssued++
-	t.jwBusy = true
-}
-
-// jwKickPipelined keeps up to jwDepth WAL block writes in flight at
-// once (Config.WALWriteDepth > 1). Writes of distinct log blocks
-// overlap; an entry whose block has an earlier not-yet-landed entry
-// (an in-flight tail rewrite) stays queued behind it so same-block
-// submission order — and therefore log order on the device — is
-// preserved. The durability watermark advances only over the contiguous
-// completed prefix (jwAdvance), so an out-of-order completion can never
-// certify bytes an earlier write could still revert.
-func (t *Tree) jwKickPipelined() {
 	if t.failed {
 		return
 	}
-	for i := 0; i < len(t.jwq) && t.jwInflight < t.jwDepth; i++ {
+	for i := 0; i < len(t.jwq) && t.jwInflight < walWriteDepth; i++ {
 		e := t.jwq[i]
 		if e.inflight || e.done {
 			continue
@@ -2342,7 +2300,7 @@ func (t *Tree) jwKickPipelined() {
 	}
 }
 
-// jwSubmit issues one pipelined WAL block write. Returns false when the
+// jwSubmit issues one WAL block write. Returns false when the
 // submission queue is full (the entry stays queued).
 func (t *Tree) jwSubmit(e *jwEntry) bool {
 	submitted := t.now()
@@ -2385,11 +2343,11 @@ func (t *Tree) jwSubmit(e *jwEntry) bool {
 	return true
 }
 
-// jwAdvance pops the contiguous completed prefix of the pipelined
-// writer's queue, advancing the durability watermark over it and waking
-// any ops it covers. A completed entry behind a still-pending earlier
-// one stays queued: its certify bytes are not durable until everything
-// before them has landed.
+// jwAdvance pops the contiguous completed prefix of the writer's queue,
+// advancing the durability watermark over it and waking any ops it
+// covers. A completed entry behind a still-pending earlier one stays
+// queued: its certify bytes are not durable until everything before
+// them has landed.
 func (t *Tree) jwAdvance() {
 	advanced := false
 	for len(t.jwq) > 0 && t.jwq[0].done {
@@ -2997,6 +2955,8 @@ func (t *Tree) opTeardown(o *Op) {
 			delete(t.keyDeps, o.key)
 		}
 	}
+	t.splitReserved -= o.splitReserve
+	o.splitReserve = 0
 	if o.jLiveMark {
 		o.jLiveMark = false
 		t.jLive--

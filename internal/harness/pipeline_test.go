@@ -15,8 +15,8 @@ import (
 
 // pipelineTraceRun drives one traced, journaled shard through a fixed
 // mixed workload and returns the Chrome trace. pipelined toggles the
-// overlap machinery — speculative child prefetch and depth-8 WAL write
-// pipelining — which by design DOES change the simulated I/O schedule;
+// overlap machinery — speculative child prefetch and scan read-ahead —
+// which by design DOES change the simulated I/O schedule;
 // what must hold is that any given configuration is same-seed
 // reproducible, and that the default (off) configuration is
 // byte-identical to an explicitly-disabled one.
@@ -38,11 +38,9 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []
 	}
 	if pipelined {
 		cfg.SpeculativePrefetch = true
-		cfg.WALWriteDepth = 8
 	} else if explicitOff {
 		cfg.SpeculativePrefetch = false
 		cfg.SpecBudget = 16 // budget without the switch must stay inert
-		cfg.WALWriteDepth = 1
 	}
 	var tree *core.Tree
 	th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
@@ -95,8 +93,8 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []
 // TestPipelinedOffTraceDeterminism is the determinism regression for
 // the overlap machinery (ISSUE 10): the options default to off, and a
 // default-configured run must export a byte-identical trace to one
-// where speculation and WAL pipelining are explicitly disabled — the
-// gates must leave the classic single-in-flight schedule untouched. If
+// where speculation is explicitly disabled — the gates must leave the
+// classic reactive schedule untouched. If
 // this breaks, every pinned simulated experiment is suspect.
 func TestPipelinedOffTraceDeterminism(t *testing.T) {
 	if (core.Config{}).SpeculativePrefetch {
@@ -105,9 +103,6 @@ func TestPipelinedOffTraceDeterminism(t *testing.T) {
 	d := (core.Config{}).WithDefaults()
 	if d.SpeculativePrefetch {
 		t.Fatal("WithDefaults must not switch SpeculativePrefetch on")
-	}
-	if d.WALWriteDepth != 1 {
-		t.Fatalf("WithDefaults WALWriteDepth = %d, want the classic 1", d.WALWriteDepth)
 	}
 	const seed = 42
 	def := pipelineTraceRun(t, seed, false, false)
@@ -122,7 +117,7 @@ func TestPipelinedOffTraceDeterminism(t *testing.T) {
 }
 
 // TestPipelinedOnTraceRepeatable pins that the pipelined configuration
-// is itself deterministic: speculation and WAL pipelining reshape the
+// is itself deterministic: speculation and scan read-ahead reshape the
 // I/O schedule, but the same seed must reshape it identically every
 // time — stress reproductions and the figpipeline experiment depend on
 // it.

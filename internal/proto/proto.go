@@ -118,6 +118,7 @@ const (
 	StatusTooLarge     uint8 = 5
 	StatusBadRequest   uint8 = 6
 	StatusInternal     uint8 = 7
+	StatusNoSpace      uint8 = 8
 )
 
 // FoundFlag is bit0 of a response's flags byte.
@@ -150,6 +151,8 @@ func StatusOf(err error) uint8 {
 		return StatusBatchAborted
 	case errors.Is(err, patree.ErrValueTooLarge):
 		return StatusTooLarge
+	case errors.Is(err, patree.ErrNoSpace):
+		return StatusNoSpace
 	default:
 		return StatusInternal
 	}
@@ -174,6 +177,8 @@ func ErrFromStatus(status uint8, msg string) error {
 		base = patree.ErrBatchAborted
 	case StatusTooLarge:
 		base = patree.ErrValueTooLarge
+	case StatusNoSpace:
+		base = patree.ErrNoSpace
 	case StatusBadRequest:
 		if msg == "" {
 			msg = "malformed request"

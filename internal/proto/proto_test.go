@@ -24,6 +24,7 @@ func TestStatusRoundTrip(t *testing.T) {
 		{patree.ErrDeviceFailed, StatusDeviceFailed},
 		{patree.ErrBatchAborted, StatusBatchAborted},
 		{patree.ErrValueTooLarge, StatusTooLarge},
+		{patree.ErrNoSpace, StatusNoSpace},
 	}
 	for _, s := range sentinels {
 		if got := StatusOf(s.err); got != s.status {
@@ -63,11 +64,13 @@ func TestStatusCodesStable(t *testing.T) {
 	want := map[string]uint8{
 		"OK": 0, "Busy": 1, "Closed": 2, "DeviceFailed": 3,
 		"BatchAborted": 4, "TooLarge": 5, "BadRequest": 6, "Internal": 7,
+		"NoSpace": 8,
 	}
 	got := map[string]uint8{
 		"OK": StatusOK, "Busy": StatusBusy, "Closed": StatusClosed,
 		"DeviceFailed": StatusDeviceFailed, "BatchAborted": StatusBatchAborted,
 		"TooLarge": StatusTooLarge, "BadRequest": StatusBadRequest, "Internal": StatusInternal,
+		"NoSpace": StatusNoSpace,
 	}
 	for name, w := range want {
 		if got[name] != w {

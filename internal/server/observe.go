@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/patree/patree/internal/metrics"
+	"github.com/patree/patree/internal/proto"
 	"github.com/patree/patree/internal/trace"
 )
 
@@ -41,12 +42,12 @@ var serverClassNames = []string{
 
 const (
 	numWireKinds    = 9 // class table above
-	numWireStatuses = 8 // proto.StatusOK..StatusInternal
+	numWireStatuses = 9 // proto.StatusOK..StatusNoSpace
 )
 
 var wireStatusNames = []string{
 	"ok", "busy", "closed", "device-failed", "batch-aborted",
-	"too-large", "bad-request", "internal",
+	"too-large", "bad-request", "internal", "no-space",
 }
 
 // srvMetrics is the always-on wire instrumentation. One per Server,
@@ -85,7 +86,7 @@ func (m *srvMetrics) recordLatency(kind, status uint8, d time.Duration) {
 		kind = 0
 	}
 	if status >= numWireStatuses {
-		status = numWireStatuses - 1
+		status = proto.StatusInternal
 	}
 	m.mu.Lock()
 	h := m.latKind[kind]
@@ -107,7 +108,7 @@ func (m *srvMetrics) recordLatency(kind, status uint8, d time.Duration) {
 // frames, terminal refusals answered from the read loop).
 func (m *srvMetrics) recordStatus(status uint8) {
 	if status >= numWireStatuses {
-		status = numWireStatuses - 1
+		status = proto.StatusInternal
 	}
 	m.mu.Lock()
 	m.status[status]++
@@ -271,7 +272,7 @@ func (s *Server) slowOp(id, span uint64, kind, status uint8, attempts int, arriv
 		kind = 0
 	}
 	if status >= numWireStatuses {
-		status = numWireStatuses - 1
+		status = proto.StatusInternal
 	}
 	s.logf("patree/server: slow op: kind=%s id=%d span=%d status=%s total=%v stage_read=%v stage_admit=%v attempts=%d stage_engine_respond=%v",
 		serverClassNames[kind], id, span, wireStatusNames[status],

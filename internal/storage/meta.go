@@ -123,28 +123,50 @@ func DecodeMeta(buf []byte) (*Meta, error) {
 // DESIGN.md (the paper does not address space reclamation at all).
 type Allocator struct {
 	watermark PageID
+	limit     PageID
 	free      []PageID
 }
 
 // NewAllocator starts allocating at watermark (page ids below it are
-// considered in use; watermark must be >= 1 so page 0 stays the meta page).
-func NewAllocator(watermark PageID) *Allocator {
+// considered in use; watermark must be >= 1 so page 0 stays the meta page)
+// and never hands out an id at or beyond limit — the first block the tree
+// does not own (its journal region, or its device's end). A zero limit
+// leaves the allocator unbounded.
+func NewAllocator(watermark, limit PageID) *Allocator {
 	if watermark < 1 {
 		watermark = 1
 	}
-	return &Allocator{watermark: watermark}
+	return &Allocator{watermark: watermark, limit: limit}
 }
 
-// Alloc returns a fresh page id.
+// Alloc returns a fresh page id. Allocating past the limit panics: the
+// caller must check Remaining before it commits to a structural change.
 func (a *Allocator) Alloc() PageID {
 	if n := len(a.free); n > 0 {
 		id := a.free[n-1]
 		a.free = a.free[:n-1]
 		return id
 	}
+	if a.limit != 0 && a.watermark >= a.limit {
+		panic(fmt.Sprintf("storage: page allocator exhausted at limit %d", a.limit))
+	}
 	id := a.watermark
 	a.watermark++
 	return id
+}
+
+// Remaining returns how many more ids Alloc can hand out (the recycled
+// ones included); an unbounded allocator reports the id space left.
+func (a *Allocator) Remaining() uint64 {
+	limit := a.limit
+	if limit == 0 {
+		limit = ^PageID(0)
+	}
+	n := uint64(len(a.free))
+	if a.watermark < limit {
+		n += uint64(limit - a.watermark)
+	}
+	return n
 }
 
 // Free recycles a page id. Freeing the meta page or a never-allocated id

@@ -364,7 +364,7 @@ func TestMetaRejectsGarbage(t *testing.T) {
 }
 
 func TestAllocator(t *testing.T) {
-	a := NewAllocator(1)
+	a := NewAllocator(1, 0)
 	p1, p2 := a.Alloc(), a.Alloc()
 	if p1 != 1 || p2 != 2 {
 		t.Fatalf("alloc = %d, %d", p1, p2)
@@ -381,8 +381,35 @@ func TestAllocator(t *testing.T) {
 	}
 }
 
+// TestAllocatorLimit pins the page bound: Remaining counts down to the
+// limit (recycled ids included), and Alloc never hands out the limit.
+func TestAllocatorLimit(t *testing.T) {
+	a := NewAllocator(5, 8)
+	if got := a.Remaining(); got != 3 {
+		t.Fatalf("Remaining = %d, want 3", got)
+	}
+	for want := PageID(5); want < 8; want++ {
+		if got := a.Alloc(); got != want {
+			t.Fatalf("alloc = %d, want %d", got, want)
+		}
+	}
+	if a.Remaining() != 0 {
+		t.Fatalf("Remaining = %d at the limit", a.Remaining())
+	}
+	a.Free(6)
+	if a.Remaining() != 1 || a.Alloc() != 6 {
+		t.Fatal("a freed id below the limit must stay allocatable")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Alloc at the limit did not panic")
+		}
+	}()
+	a.Alloc()
+}
+
 func TestAllocatorPanicsOnBadFree(t *testing.T) {
-	a := NewAllocator(5)
+	a := NewAllocator(5, 0)
 	for _, id := range []PageID{0, 5, 100} {
 		func() {
 			defer func() {
@@ -396,7 +423,7 @@ func TestAllocatorPanicsOnBadFree(t *testing.T) {
 }
 
 func TestAllocatorZeroWatermarkClamped(t *testing.T) {
-	a := NewAllocator(0)
+	a := NewAllocator(0, 0)
 	if got := a.Alloc(); got != 1 {
 		t.Fatalf("first alloc = %d, want 1 (page 0 reserved for meta)", got)
 	}
@@ -405,7 +432,7 @@ func TestAllocatorZeroWatermarkClamped(t *testing.T) {
 // Property: allocator never hands out duplicates among live pages.
 func TestAllocatorNoDuplicatesProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		a := NewAllocator(1)
+		a := NewAllocator(1, 0)
 		live := map[PageID]bool{}
 		var order []PageID
 		for _, alloc := range ops {

@@ -122,7 +122,9 @@ type Options struct {
 	// is acknowledged, so a crash loses no acknowledged write — Open
 	// replays the journal on the next start. Under Weak persistence this
 	// buys crash durability while pages stay buffered; under Strong it
-	// closes the multi-page torn-update window.
+	// closes the multi-page torn-update window. Log block writes are
+	// pipelined: each shard keeps several journal blocks in flight, log
+	// order and the durability watermark's contiguous prefix preserved.
 	Journal bool
 	// MaxIORetries bounds how many times one operation's failed device
 	// command is retried (with exponential backoff) before the DB enters
@@ -182,27 +184,20 @@ type Options struct {
 	// by default — the fast path adds worker-side publication work, and
 	// deterministic simulation runs keep it off to stay byte-identical.
 	ConcurrentReads bool
-	// Pipelined enables the overlapped polled loop (DESIGN.md §17), three
+	// Pipelined enables the overlapped polled loop (DESIGN.md §17), two
 	// coordinated pieces: speculative child prefetch (each worker walks
 	// drained operations' predicted descent paths through resident pages
 	// and issues the first missing page's read ahead of the operation's
-	// turn, budget-bounded and cancelled on mispredict), pipelined WAL
-	// block writes (up to WALWriteDepth journal blocks in flight, log
-	// order and gate-before-mutation preserved — only meaningful with
-	// Journal), and off-worker scan merge (multi-shard Scan results are
-	// k-way merged on the waiting goroutine instead of the last-finishing
-	// worker). Semantics are identical either way; off by default, and
-	// deterministic simulation runs keep it off — speculative reads and
-	// deeper WAL pipelining reshape the simulated I/O schedule.
+	// turn, budget-bounded and cancelled on mispredict; scans read their
+	// next leaves ahead the same way), and off-worker scan merge
+	// (multi-shard Scan results are k-way merged on the waiting goroutine
+	// instead of the last-finishing worker). Semantics are identical
+	// either way; off by default, and deterministic simulation runs keep
+	// it off — speculative reads reshape the simulated I/O schedule.
 	Pipelined bool
 	// SpecBudget caps each shard's speculative prefetch reads in flight
 	// (0 = default 16). Ignored unless Pipelined.
 	SpecBudget int
-	// WALWriteDepth bounds each shard's in-flight journal block writes
-	// (0 = 8 when Pipelined, else the classic single-in-flight writer;
-	// 1 forces the classic writer even when Pipelined). Ignored unless
-	// Journal.
-	WALWriteDepth int
 }
 
 // Stats reports tree activity, summed across shards.
@@ -343,9 +338,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	if n > 1<<16-1 {
 		return nil, fmt.Errorf("patree: %d shards exceeds the format limit", n)
-	}
-	if opts.Pipelined && opts.WALWriteDepth == 0 {
-		opts.WALWriteDepth = 8
 	}
 	db := &DB{dev: dev, ownsDev: owns, devices: 1, concReads: opts.ConcurrentReads, deferMerge: opts.Pipelined}
 	if opts.AdmissionWeighting {
@@ -528,18 +520,16 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 		ConcurrentReads:     opts.ConcurrentReads,
 		SpeculativePrefetch: opts.Pipelined,
 		SpecBudget:          opts.SpecBudget,
-		WALWriteDepth:       opts.WALWriteDepth,
 	}, env, meta)
 	if err != nil {
 		return nil, err
 	}
 	s := &shard{tree: tree, policy: policy, tracer: tracer, done: make(chan struct{})}
 	go func() {
-		// The polled-mode working thread wants a dedicated OS thread, as
-		// the paper's design assumes; everything else in the process can
-		// share the rest.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
+		// The working thread is an ordinary goroutine. Locking it to an OS
+		// thread would reserve no CPU, yet every yield of the polled loop
+		// (SpinWait's Gosched, idle timer sleeps) would then hand the P
+		// off through a futex wake of the locked thread.
 		tree.Run()
 		close(s.done)
 	}()

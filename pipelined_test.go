@@ -9,8 +9,8 @@ import (
 )
 
 // TestPipelinedPropertyOps runs the randomized oracle stream with the
-// full overlap machinery on — speculative prefetch, depth-8 WAL write
-// pipelining and the off-worker scan merge — over 1 and 4 shards. The
+// full overlap machinery on — speculative prefetch, scan read-ahead and
+// the off-worker scan merge — over journaled 1 and 4 shards. The
 // public surface must be indistinguishable from the classic path.
 func TestPipelinedPropertyOps(t *testing.T) {
 	for _, n := range []int{1, 4} {
@@ -51,8 +51,7 @@ func TestPipelinedPropertyOps(t *testing.T) {
 }
 
 // TestPipelinedOptionsDefaults pins the opt-in surface: the zero
-// Options keep every overlap feature off, and Pipelined alone selects
-// the documented WAL write depth.
+// Options keep every overlap feature off.
 func TestPipelinedOptionsDefaults(t *testing.T) {
 	db, err := Open(Options{DeviceBlocks: 1 << 14})
 	if err != nil {
@@ -77,8 +76,8 @@ func TestPipelinedOptionsDefaults(t *testing.T) {
 // FuzzPipelinedOps is FuzzShardedOps with the overlap machinery on: a
 // byte stream becomes point ops and scans over a journaled, pipelined
 // 4-shard DB, checked against a flat map oracle, with a close/reopen
-// cycle asserting that speculative reads and pipelined WAL writes
-// never corrupt the persisted image. CI runs this for a bounded smoke
+// cycle asserting that speculative reads and the pipelined journal
+// writer never corrupt the persisted image. CI runs this for a bounded smoke
 // window on every push.
 func FuzzPipelinedOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 1, 0, 1, 5, 2, 0, 1, 0})
