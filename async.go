@@ -31,13 +31,6 @@ type Handle struct {
 	// built once per handle lifetime, it survives pool recycling so a
 	// steady-state async operation allocates neither closure nor channel.
 	doneFn func(*core.Op)
-	// lazyMerge, when non-nil after the completion token is consumed,
-	// computes the final result on the consuming goroutine (resolveLazy)
-	// instead of on the working thread that delivered last — the
-	// off-worker scan merge of Options.Pipelined. Written before the
-	// token is published, read after it is consumed, so the channel
-	// orders the accesses.
-	lazyMerge func() core.Result
 }
 
 // Handle lifecycle states.
@@ -62,7 +55,6 @@ var handlePool = sync.Pool{
 func acquireHandle() *Handle {
 	h := handlePool.Get().(*Handle)
 	h.res = core.Result{}
-	h.lazyMerge = nil
 	h.waited = false
 	h.state.Store(hPending)
 	// Defensive: a well-behaved lifecycle never leaves a token behind,
@@ -102,35 +94,6 @@ func (h *Handle) deliver(res core.Result) {
 	}
 }
 
-// deliverLazy resolves the handle without computing the result yet: the
-// completion token is published immediately, and merge runs on the first
-// goroutine that consumes it (resolveLazy) — the caller — rather than on
-// the working thread that happened to deliver last. This is the
-// off-worker scan merge of Options.Pipelined: large fan-in merges stop
-// stealing poll cycles from the shard whose completion closed the
-// scatter. A handle detached by a cancelled WaitContext has no consumer,
-// so the merge is dropped unrun and the handle recycled.
-func (h *Handle) deliverLazy(merge func() core.Result) {
-	h.lazyMerge = merge
-	if h.state.CompareAndSwap(hPending, hCompleted) {
-		h.ch <- struct{}{} // cap 1: never blocks the working thread
-	} else {
-		h.lazyMerge = nil
-		h.recycle()
-	}
-}
-
-// resolveLazy materializes a lazily delivered result. Must run on the
-// goroutine that just consumed the completion token, before any h.res
-// read.
-func (h *Handle) resolveLazy() {
-	if h.lazyMerge != nil {
-		h.res = h.lazyMerge()
-		h.res.Err = mapErr(h.res.Err)
-		h.lazyMerge = nil
-	}
-}
-
 // Wait blocks until the operation completes and returns its error.
 // It is idempotent: after the first return every further call (and every
 // accessor) returns immediately.
@@ -138,7 +101,6 @@ func (h *Handle) Wait() error {
 	if !h.waited {
 		h.checkLive("Wait")
 		<-h.ch
-		h.resolveLazy()
 		h.waited = true
 	}
 	return h.res.Err
@@ -195,7 +157,6 @@ func (h *Handle) Release() {
 // zeroed result.
 func (h *Handle) recycle() {
 	h.res = core.Result{}
-	h.lazyMerge = nil
 	h.waited = false
 	h.state.Store(hReleased)
 	handlePool.Put(h)
@@ -231,9 +192,6 @@ type fanAgg struct {
 	remaining atomic.Int32
 	res       []core.Result
 	merge     func([]core.Result) core.Result
-	// deferred (Options.Pipelined) delivers the merge lazily so it runs
-	// on the waiting goroutine instead of the last-finishing worker.
-	deferred bool
 }
 
 // done returns the Done callback for shard slot i.
@@ -242,11 +200,7 @@ func (a *fanAgg) done(i int) func(*core.Op) {
 		a.res[i] = o.Res
 		o.Release()
 		if a.remaining.Add(-1) == 0 {
-			if a.deferred {
-				a.h.deliverLazy(func() core.Result { return a.merge(a.res) })
-			} else {
-				a.h.deliver(a.merge(a.res))
-			}
+			a.h.deliver(a.merge(a.res))
 		}
 	}
 }
@@ -257,7 +211,7 @@ func (a *fanAgg) done(i int) func(*core.Op) {
 // either every shard receives its piece or none does.
 func (db *DB) fanOut(mk func() *core.Op, merge func([]core.Result) core.Result) (*Handle, error) {
 	h := acquireHandle()
-	agg := &fanAgg{h: h, res: make([]core.Result, len(db.shards)), merge: merge, deferred: db.deferMerge}
+	agg := &fanAgg{h: h, res: make([]core.Result, len(db.shards)), merge: merge}
 	agg.remaining.Store(int32(len(db.shards)))
 	ops := make([]*core.Op, len(db.shards))
 	for i := range ops {

@@ -188,7 +188,7 @@ func (b *Batch) addOp(op *core.Op, h *Handle, key uint64, shards int) {
 
 // addFanned appends one physical op per shard, aggregated behind h.
 func (b *Batch) addFanned(h *Handle, shards int, mk func() *core.Op, merge func([]core.Result) core.Result) {
-	agg := &fanAgg{h: h, res: make([]core.Result, shards), merge: merge, deferred: b.db.deferMerge}
+	agg := &fanAgg{h: h, res: make([]core.Result, shards), merge: merge}
 	agg.remaining.Store(int32(shards))
 	for i := 0; i < shards; i++ {
 		op := mk()

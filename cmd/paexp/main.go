@@ -184,8 +184,8 @@ func multiDevBench(scale harness.Scale, out, baseline string, maxReg float64) {
 	fmt.Fprintf(os.Stderr, "paexp: within %.0f%% of %s\n", maxReg*100, baseline)
 }
 
-// pipelineBench runs the figpipeline sweep (each committed mix with the
-// overlap machinery off and on), writes the measurements as a bench
+// pipelineBench runs the figpipeline sweep (each committed mix with scan
+// read-ahead off and on), writes the measurements as a bench
 // trajectory and optionally gates them against a committed baseline.
 // The speedup_ops series is what pins the feature's win: the gate fails
 // if pipelining stops beating the classic loop by the committed margin.

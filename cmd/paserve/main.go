@@ -47,7 +47,7 @@ func main() {
 		burst   = flag.Int("burst", 0, "max pipelined ops per admission burst (0 = default)")
 		doTrace = flag.Bool("trace", false, "sample request-scoped spans (engine + wire)")
 		slowOp  = flag.Duration("slowop", 0, "log requests slower than this (0 = disabled)")
-		pipeln  = flag.Bool("pipelined", false, "overlap I/O and computation in the polled workers (speculative prefetch, scan read-ahead, off-worker scan merge)")
+		pipeln  = flag.Bool("pipelined", false, "scan sibling read-ahead in the polled workers: range scans read their next leaves together")
 	)
 	flag.Parse()
 	if *admin == "" {

@@ -24,7 +24,6 @@ func (h *Handle) WaitContext(ctx context.Context) error {
 	h.checkLive("WaitContext")
 	select {
 	case <-h.ch:
-		h.resolveLazy()
 		h.waited = true
 		return h.res.Err
 	case <-ctx.Done():
@@ -36,7 +35,6 @@ func (h *Handle) WaitContext(ctx context.Context) error {
 		// token is (or is about to be) in the channel, so report the real
 		// outcome rather than a spurious cancellation.
 		<-h.ch
-		h.resolveLazy()
 		h.waited = true
 		return h.res.Err
 	}

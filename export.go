@@ -76,7 +76,7 @@ func writePrometheus(w io.Writer, m Metrics) {
 	p("patree_throttle_waits_total %d\n", m.ThrottleWaits)
 
 	if m.SpecIssued > 0 {
-		p("# HELP patree_spec_reads_total Speculative prefetch reads (Options.Pipelined) by outcome.\n")
+		p("# HELP patree_spec_reads_total Scan read-ahead reads (Options.Pipelined) by outcome.\n")
 		p("# TYPE patree_spec_reads_total counter\n")
 		p("patree_spec_reads_total{outcome=\"issued\"} %d\n", m.SpecIssued)
 		p("patree_spec_reads_total{outcome=\"hit\"} %d\n", m.SpecHits)
@@ -166,7 +166,7 @@ func FormatMetrics(m Metrics) string {
 		b.WriteString("\n")
 	}
 	if m.SpecIssued > 0 {
-		fmt.Fprintf(&b, "speculation: issued=%d hits=%d cancelled=%d wasted=%d\n",
+		fmt.Fprintf(&b, "read-ahead: issued=%d hits=%d cancelled=%d wasted=%d\n",
 			m.SpecIssued, m.SpecHits, m.SpecCancelled, m.SpecWasted)
 	}
 	if len(m.Stages) > 0 {

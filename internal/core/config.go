@@ -171,27 +171,17 @@ type Config struct {
 	// is off by default and sim experiments that pin byte-identical
 	// schedules keep it off.
 	ConcurrentReads bool
-	// SpeculativePrefetch enables the pipelined loop's speculative child
-	// prefetch: at drain time the worker walks each queued point
-	// operation's predicted root-to-leaf path through buffer-resident
-	// pages and issues the first missing page's read before the
-	// operation's turn, so the read completes (or is in flight) by the
-	// time the operation reaches it. Mispredictions are detected at
-	// completion — any intervening data-page write, or residency via
-	// another path, drops the speculative image — and operations that
-	// reach a page with a speculative read already in flight coalesce
-	// onto it instead of issuing a duplicate. Off by default: speculative
-	// reads change the simulated I/O schedule, so deterministic
-	// experiments that pin byte-identical traces keep it off. See
-	// pipeline.go and DESIGN.md §17.
-	SpeculativePrefetch bool
-	// SpecBudget bounds the speculative reads in flight at once (0
-	// selects the default 16 when SpeculativePrefetch is on). The
-	// effective budget per pass is additionally capped by device-queue
-	// headroom and deferred while the probe policy predicts imminent
-	// completions, so speculation fills idle submission slots instead of
-	// competing with demand I/O.
-	SpecBudget int
+	// ScanReadAhead enables the pipelined loop's scan sibling
+	// read-ahead: when a range scan descends through a level-1 inner
+	// node, the worker issues reads of the next leaves the scan will
+	// enter, so its serial Next-link chain becomes one parallel batch.
+	// Any intervening write of a page, or residency via another path,
+	// drops the read-ahead image, and operations that reach a page with a
+	// read-ahead in flight coalesce onto it instead of issuing a
+	// duplicate. Off by default: read-ahead changes the simulated I/O
+	// schedule, so deterministic experiments that pin byte-identical
+	// traces keep it off. See pipeline.go and DESIGN.md §17.
+	ScanReadAhead bool
 }
 
 // WithDefaults fills zero fields.
@@ -212,9 +202,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Microsecond
-	}
-	if c.SpeculativePrefetch && c.SpecBudget <= 0 {
-		c.SpecBudget = 16
 	}
 	if c.Policy == nil {
 		m, err := probe.Default()

@@ -89,15 +89,15 @@ type Stats struct {
 	IORetries      uint64
 	JournalAppends uint64
 	Checkpoints    uint64
-	// Speculative-prefetch instrumentation (Config.SpeculativePrefetch;
-	// see pipeline.go). SpecIssued counts speculative page reads
-	// submitted; SpecHits counts operations that coalesced onto an
-	// in-flight speculative read instead of issuing their own demand
-	// read; SpecCancelled counts speculative completions dropped on
-	// mispredict (intervening write, page already resident another way,
-	// device error or checksum failure); SpecWasted counts speculative
-	// reads installed with no operation waiting — prefetched warmth that
-	// may still serve a later buffer hit, but earned nothing yet.
+	// Scan read-ahead instrumentation (Config.ScanReadAhead; see
+	// pipeline.go). SpecIssued counts read-ahead page reads submitted;
+	// SpecHits counts operations that coalesced onto an in-flight
+	// read-ahead instead of issuing their own demand read; SpecCancelled
+	// counts read-ahead completions dropped (intervening write, page
+	// already resident another way, device error or checksum failure);
+	// SpecWasted counts read-ahead pages installed with no operation
+	// waiting — prefetched warmth that may still serve a later buffer
+	// hit, but earned nothing yet.
 	SpecIssued    uint64
 	SpecHits      uint64
 	SpecCancelled uint64
@@ -208,21 +208,17 @@ type Tree struct {
 	jwq        []*jwEntry
 	jwInflight int
 
-	// Speculative child prefetch (Config.SpeculativePrefetch; see
-	// pipeline.go). specInflight tracks speculative page reads between
-	// submission and completion; an op that reaches a page with a live
-	// speculative read in flight parks on it as a waiter instead of
-	// issuing a duplicate. Every write-submission site calls
-	// specInvalidate with the page it writes, which marks any in-flight
-	// speculative read of that page stale (vetoing its install) and wakes
-	// its waiters onto the fresh in-memory image — so a stale device
-	// image can never mask a newer write, and writes of unrelated pages
-	// never cost the prefetcher anything. specKeys is the per-drain
-	// scratch list of keys to predict paths for; specSeen dedupes them
-	// within one pass.
+	// Scan read-ahead (Config.ScanReadAhead; see pipeline.go).
+	// specInflight tracks read-ahead page reads between submission and
+	// completion; an op that reaches a page with a live read-ahead in
+	// flight parks on it as a waiter instead of issuing a duplicate.
+	// Every write-submission site calls specInvalidate with the page it
+	// writes, which marks any in-flight read-ahead of that page stale
+	// (vetoing its install) and wakes its waiters onto the fresh
+	// in-memory image — so a stale device image can never mask a newer
+	// write, and writes of unrelated pages never cost the read-ahead
+	// anything.
 	specInflight map[storage.PageID]*specRead
-	specKeys     []uint64
-	specSeen     map[uint64]struct{}
 
 	// syncActive serializes sync/checkpoint pipelines; checkpointPending
 	// is set while an internal checkpoint op is live so the trigger never
@@ -950,12 +946,6 @@ func (t *Tree) drainInbox() {
 			}
 			t.tr.Emit(tcInbox, uint16(o.kind), o.seq, 0, int64(o.enqueuedAt), int64(drainNow.Sub(o.enqueuedAt)))
 		}
-		if t.cfg.SpeculativePrefetch && (pointKind(o.kind) || o.kind == KindRange) {
-			// A range scan's start key predicts its descent path just like
-			// a point key does; the sibling read-ahead takes over once the
-			// scan reaches the leaf level (specScanAhead).
-			t.specKeys = append(t.specKeys, o.key)
-		}
 		if pointKind(o.kind) {
 			o.keyGated = true
 			if tail, ok := t.keyDeps[o.key]; ok {
@@ -974,9 +964,6 @@ func (t *Tree) drainInbox() {
 	}
 	if drained > 0 {
 		t.policy.OnAdmit(drained, drainNow)
-		if t.cfg.SpeculativePrefetch {
-			t.speculate(drainNow)
-		}
 	}
 }
 
@@ -1239,13 +1226,13 @@ func (t *Tree) process(o *Op) {
 				} else {
 					o.ioData = nil
 					if sr, ok := t.specInflight[o.cur]; ok && !sr.stale && !t.failed {
-						// A live speculative read of this page is already in
+						// A live read-ahead of this page is already in
 						// flight: coalesce onto it instead of issuing a
 						// duplicate (pipeline.go wakes us when it lands —
-						// or falls back to a demand read on mispredict).
+						// or falls back to a demand read if it is dropped).
 						sr.waiters = append(sr.waiters, specWaiter{op: o, since: t.now()})
 						t.stats.SpecHits++
-						return // I/O-blocked on the speculative read
+						return // I/O-blocked on the read-ahead
 					}
 					if !t.submitRead(o) {
 						return // stalled or waiting
@@ -1391,7 +1378,7 @@ func (t *Tree) processNode(o *Op) bool {
 	}
 	idx := node.ChildIndex(o.key)
 	child := node.Children[idx]
-	if t.cfg.SpeculativePrefetch && o.kind == KindRange {
+	if t.cfg.ScanReadAhead && o.kind == KindRange {
 		t.specScanAhead(o, node, idx)
 	}
 	o.prevNode = node
@@ -2105,7 +2092,7 @@ func (t *Tree) enterFailed(cause error) {
 	t.promoteRetries()
 	t.promoteJWaiters()
 	for _, sr := range t.specInflight {
-		// Wake ops parked on speculative reads: the failed drain at the
+		// Wake ops parked on read-ahead reads: the failed drain at the
 		// top of process() handles them, and the reads' own completions
 		// will find no waiters left.
 		t.promoteSpecWaiters(sr, t.now())

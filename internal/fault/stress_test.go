@@ -28,6 +28,12 @@ import (
 //   - with faults disabled and a clean shutdown, the image must equal
 //     the oracle exactly.
 //
+// The read-ahead variant runs the same stream over a 16-page buffer with
+// scan read-ahead on, turning a tenth of the ops into range scans. Each
+// scan must resolve — no op may stay parked on a read-ahead read when
+// the tree fails — and return ascending keys inside its range, each in
+// a state the oracle allows for the scan's lifetime (see checkScan).
+//
 // Every failure message carries the seed, which reproduces the entire
 // run bit-for-bit.
 
@@ -50,22 +56,40 @@ func stressProbs() Probs {
 	return Probs{ReadErr: 0.02, WriteErr: 0.02, Timeout: 0.01, BitRot: 0.01, TornWrite: 0.02, LatencySpike: 0.05}
 }
 
+// stressWrite is the intended effect of one write on its key.
+type stressWrite struct {
+	key   uint64
+	state ambState
+}
+
+// readAheadTotals sums a run's scans and read-ahead activity.
+type readAheadTotals struct {
+	scans, issued, hits uint64
+}
+
 // runStress executes one full multi-phase run and returns a determinism
 // digest: a text transcript of everything observable (fault counts,
 // recovery reports, stats, image checksums). Two runs with the same
-// seed must produce identical digests.
-func runStress(t *testing.T, seed uint64) string {
+// seed must produce identical digests. readAhead selects the read-ahead
+// variant.
+func runStress(t *testing.T, seed uint64, readAhead bool) (string, readAheadTotals) {
 	t.Helper()
 	rng := sim.NewRNG(seed ^ 0x57e55eed)
 	persistence := core.WeakPersistence
 	if seed%2 == 1 {
 		persistence = core.StrongPersistence
 	}
-	model := map[uint64][]byte{}  // acked state
+	model := map[uint64][]byte{}   // acked state
 	amb := map[uint64][]ambState{} // additional acceptable states per key
 	var img map[uint64][]byte
 	var digest strings.Builder
+	var totals readAheadTotals
 	fmt.Fprintf(&digest, "seed=%d persistence=%s\n", seed, persistence)
+	bufferPages := 96
+	if readAhead {
+		bufferPages = 16
+		fmt.Fprintf(&digest, "read-ahead\n")
+	}
 
 	for phase := 0; phase < stressPhases; phase++ {
 		crashPhase := phase < stressPhases-1
@@ -105,16 +129,23 @@ func runStress(t *testing.T, seed uint64) string {
 		var tree *core.Tree
 		th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
 		tree, err = core.New(fdev, core.Config{
-			Persistence: persistence,
-			BufferPages: 96,
-			Journal:     true,
-			MaxIORetries: 8,
+			Persistence:   persistence,
+			BufferPages:   bufferPages,
+			Journal:       true,
+			MaxIORetries:  8,
+			ScanReadAhead: readAhead,
 		}, core.SimEnv{T: th}, meta)
 		if err != nil {
 			t.Fatalf("seed %d phase %d: new tree: %v", seed, phase, err)
 		}
 
 		pending := map[uint64]bool{}
+		// intents holds the effect of every write on a pending key;
+		// written logs every write made this phase, in order. A scan may
+		// observe any of them on the keys it covers (checkStressScan).
+		intents := map[uint64]ambState{}
+		var written []stressWrite
+		scansPending := 0
 		admitted, resolved, acked, failed := 0, 0, 0, 0
 		crashAt := -1
 		if crashPhase {
@@ -125,6 +156,64 @@ func runStress(t *testing.T, seed uint64) string {
 
 		makeOp := func() *core.Op {
 			kind := rng.Intn(100)
+			if readAhead && kind >= 90 {
+				opCounter++
+				scansPending++
+				totals.scans++
+				lo := 1 + rng.Uint64n(stressKeySpace)
+				hi := lo + 16 + rng.Uint64n(112)
+				limit := 0
+				if rng.Intn(4) == 0 {
+					limit = 8 + rng.Intn(24)
+				}
+				// The states a key may be seen in: before the scan, any write
+				// in flight or made while it runs, and the oracle at its end.
+				before := map[uint64][]byte{}
+				inflight := map[uint64]ambState{}
+				for k := lo; k <= hi; k++ {
+					if v, ok := model[k]; ok {
+						before[k] = v
+					}
+					if a, ok := intents[k]; ok {
+						inflight[k] = a
+					}
+				}
+				from := len(written)
+				label := fmt.Sprintf("seed %d phase %d: scan [%d,%d] limit %d", seed, phase, lo, hi, limit)
+				var op *core.Op
+				op = core.NewRange(lo, hi, limit, func(*core.Op) {
+					resolved++
+					scansPending--
+					if op.Res.Err != nil {
+						failed++
+						return
+					}
+					acked++
+					checkStressScan(t, label, lo, hi, limit, op.Res.Pairs, func(k uint64, present bool, got []byte) bool {
+						is := func(a ambState) bool { return a.present == present && (!present || bytes.Equal(a.val, got)) }
+						b, ok := before[k]
+						m, mok := model[k]
+						if is(ambState{ok, b}) || is(ambState{mok, m}) {
+							return true
+						}
+						if a, ok := inflight[k]; ok && is(a) {
+							return true
+						}
+						for _, w := range written[from:] {
+							if w.key == k && is(w.state) {
+								return true
+							}
+						}
+						for _, a := range amb[k] {
+							if is(a) {
+								return true
+							}
+						}
+						return false
+					})
+				})
+				return op
+			}
 			key := 1 + rng.Uint64n(stressKeySpace)
 			for pending[key] {
 				key = 1 + rng.Uint64n(stressKeySpace)
@@ -134,10 +223,13 @@ func runStress(t *testing.T, seed uint64) string {
 			switch {
 			case kind < 55:
 				val := []byte(fmt.Sprintf("s%d.p%d.o%d", seed, phase, opCounter))
+				intents[key] = ambState{present: true, val: val}
+				written = append(written, stressWrite{key, intents[key]})
 				var op *core.Op
 				op = core.NewInsert(key, val, func(*core.Op) {
 					resolved++
 					delete(pending, key)
+					delete(intents, key)
 					if op.Res.Err == nil {
 						acked++
 						model[key] = val
@@ -148,10 +240,13 @@ func runStress(t *testing.T, seed uint64) string {
 				})
 				return op
 			case kind < 75:
+				intents[key] = ambState{present: false}
+				written = append(written, stressWrite{key, intents[key]})
 				var op *core.Op
 				op = core.NewDelete(key, func(*core.Op) {
 					resolved++
 					delete(pending, key)
+					delete(intents, key)
 					if op.Res.Err == nil {
 						acked++
 						delete(model, key)
@@ -183,8 +278,8 @@ func runStress(t *testing.T, seed uint64) string {
 		}
 
 		for {
-			if !crashCalled && admitted < stressOpsPhase && len(pending) < stressWindow {
-				n := stressWindow - len(pending)
+			if !crashCalled && admitted < stressOpsPhase && len(pending)+scansPending < stressWindow {
+				n := stressWindow - len(pending) - scansPending
 				if n > stressOpsPhase-admitted {
 					n = stressOpsPhase - admitted
 				}
@@ -237,6 +332,12 @@ func runStress(t *testing.T, seed uint64) string {
 		c := fdev.Counts()
 		fmt.Fprintf(&digest, "phase=%d admitted=%d acked=%d failed=%d appends=%d ckpts=%d ioerrs=%d retries=%d faults=%+v\n",
 			phase, admitted, acked, failed, st.JournalAppends, st.Checkpoints, st.IOErrors, st.IORetries, c)
+		if readAhead {
+			fmt.Fprintf(&digest, "phase=%d read-ahead issued=%d hits=%d cancelled=%d wasted=%d\n",
+				phase, st.SpecIssued, st.SpecHits, st.SpecCancelled, st.SpecWasted)
+			totals.issued += st.SpecIssued
+			totals.hits += st.SpecHits
+		}
 
 		img, err = fdev.Snapshot()
 		if err != nil {
@@ -266,7 +367,39 @@ func runStress(t *testing.T, seed uint64) string {
 		}
 	}
 	fmt.Fprintf(&digest, "final crc=%08x keys=%d\n", pairsCRC(pairs), len(pairs))
-	return digest.String()
+	return digest.String(), totals
+}
+
+// checkStressScan checks one scan's result: keys ascending, inside
+// [lo, hi], at most limit of them, and every key of the range the scan
+// covered in a state allowed reports acceptable — present with the
+// returned value, or absent. A scan cut short by its limit covers the
+// range up to its last returned key.
+func checkStressScan(t *testing.T, label string, lo, hi uint64, limit int, pairs []core.KV, allowed func(key uint64, present bool, val []byte) bool) {
+	t.Helper()
+	if limit > 0 && len(pairs) > limit {
+		t.Errorf("%s: returned %d pairs", label, len(pairs))
+		return
+	}
+	end := hi
+	if limit > 0 && len(pairs) == limit {
+		end = pairs[limit-1].Key
+	}
+	i := 0
+	for k := lo; k <= end; k++ {
+		present := i < len(pairs) && pairs[i].Key == k
+		var val []byte
+		if present {
+			val = pairs[i].Value
+			i++
+		}
+		if !allowed(k, present, val) {
+			t.Errorf("%s: key %d = %q (present=%v), not a state the oracle allows", label, k, val, present)
+		}
+	}
+	if i != len(pairs) {
+		t.Errorf("%s: pair %d (key %d) out of order or outside the range", label, i, pairs[i].Key)
+	}
 }
 
 // collectPairs walks the on-device tree image (no buffers) and returns
@@ -368,8 +501,34 @@ func TestFaultStressSeeds(t *testing.T) {
 	for s := 1; s <= seeds; s++ {
 		seed := uint64(s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runStress(t, seed)
+			runStress(t, seed, false)
 		})
+	}
+}
+
+// TestFaultStressReadAhead is TestFaultStressSeeds for the read-ahead
+// variant: range scans over a cold buffer with scan read-ahead on,
+// through the same crashes and injected faults. The seeds must between
+// them issue read-ahead reads and have scans wait on them, or the
+// variant no longer exercises the feature.
+func TestFaultStressReadAhead(t *testing.T) {
+	seeds := 10
+	if testing.Short() {
+		seeds = 4
+	}
+	var sum readAheadTotals
+	for s := 1; s <= seeds; s++ {
+		seed := uint64(s)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			_, got := runStress(t, seed, true)
+			sum.scans += got.scans
+			sum.issued += got.issued
+			sum.hits += got.hits
+		})
+	}
+	t.Logf("%d scans, %d read-ahead reads, %d hits", sum.scans, sum.issued, sum.hits)
+	if sum.scans == 0 || sum.issued == 0 || sum.hits == 0 {
+		t.Fatalf("read-ahead variant ran %d scans with %d read-ahead reads and %d hits; want all > 0", sum.scans, sum.issued, sum.hits)
 	}
 }
 
@@ -381,9 +540,11 @@ func TestFaultStressSeeds(t *testing.T) {
 // reproducible.
 func TestStressDeterminism(t *testing.T) {
 	const seed = 9001
-	d1 := runStress(t, seed)
-	d2 := runStress(t, seed)
-	if d1 != d2 {
-		t.Fatalf("seed %d diverged between two in-process runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", seed, d1, d2)
+	for _, readAhead := range []bool{false, true} {
+		d1, _ := runStress(t, seed, readAhead)
+		d2, _ := runStress(t, seed, readAhead)
+		if d1 != d2 {
+			t.Fatalf("seed %d (read-ahead %v) diverged between two in-process runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", seed, readAhead, d1, d2)
+		}
 	}
 }

@@ -7,15 +7,12 @@ import (
 	"github.com/patree/patree/internal/workload"
 )
 
-// This file is the figpipeline harness for the polled loop's overlap
-// machinery (DESIGN.md §17): speculative child prefetch and scan
-// read-ahead. Each mix runs twice on the same seed — once with the
-// classic strictly-reactive loop, once with the overlap features on —
-// so every delta is the schedule change and nothing else. Both runs
-// journal through the same pipelined WAL writer (DESIGN.md §11). The
-// off-worker scan merge is deliberately absent here: it moves real host
-// work off the worker goroutine and charges no virtual CPU, so it is
-// invisible to the simulated figures by construction.
+// This file is the figpipeline harness for the polled loop's scan
+// sibling read-ahead (DESIGN.md §17). Each mix runs twice on the same
+// seed — once with the classic strictly-reactive loop, once with
+// read-ahead on — so every delta is the schedule change and nothing
+// else. Both runs journal through the same pipelined WAL writer
+// (DESIGN.md §11).
 
 // PipelineMix is one committed figpipeline workload configuration.
 type PipelineMix struct {
@@ -26,21 +23,20 @@ type PipelineMix struct {
 	// both runs of the mix share.
 	Journal bool
 	// BufferDiv sizes the page buffer as PreloadKeys/BufferDiv pages; a
-	// large divisor leaves the tree cold so point descents miss and the
-	// speculative prefetch has reads to move off the critical path.
+	// large divisor leaves the tree cold so descents miss and scans wait
+	// on device reads of their sibling leaves.
 	BufferDiv int
 	// Concurrency overrides the scale's closed-loop depth when > 0. Deep
 	// closed loops hide read latency on their own (the worker always has
-	// other ops to run during a wait), so the prefetch mix keeps few ops
+	// other ops to run during a wait), so the scan mix keeps few ops
 	// outstanding — the regime where the worker otherwise idles on
-	// serial root-to-leaf demand reads.
+	// serial leaf-chain demand reads.
 	Concurrency int
 	// ArrivalRate > 0 switches the mix to an open-loop Poisson driver at
 	// that many ops/s. A closed loop re-paces itself around whatever the
 	// worker costs, hiding latency effects in the throughput; an open
-	// loop holds the offered load fixed, so moving a demand read off the
-	// critical path shows up where it belongs — in the latency tail,
-	// where arrival bursts queue behind reads the classic loop waits out.
+	// loop holds the offered load fixed, so any cost the pipelined loop
+	// adds to point reads shows up where it belongs — in the latency.
 	ArrivalRate float64
 	// RangePercent adds YCSB-E style short scans (64 pairs) to the mix;
 	// a scan crossing leaf boundaries is the serial-read chain the
@@ -51,22 +47,22 @@ type PipelineMix struct {
 // PipelineMixes are the mixes committed in BENCH_pipeline.json. The
 // journal mix is write-heavy with a warm buffer: its throughput is set
 // by the WAL writer, which is the same in both runs, so its classic
-// series gates the writer itself and its speedup pins that speculation
-// costs journaled writes nothing. The scan mix is cold and
+// series gates the writer itself and its pipelined series pins that
+// read-ahead costs journaled writes nothing. The scan mix is cold and
 // scan-heavy at a modest closed-loop depth: each scan crossing leaf
 // boundaries waits out a serial chain of sibling reads that the
-// read-ahead issues in parallel instead. The search mix is read-heavy
-// and open-loop at a fixed offered load: point speculation can only
-// shave the drain-to-descent gap off each demand read, so its gains
-// show up in latency rather than throughput.
+// read-ahead issues in parallel instead. The search mix is cold,
+// point-read-heavy and open-loop at a fixed offered load: it has no
+// scans, so its pipelined series must equal its classic series — the
+// pin that Pipelined costs point reads nothing.
 var PipelineMixes = []PipelineMix{
 	{Name: "journal-write", UpdatePercent: 50, Journal: true, BufferDiv: 12},
 	{Name: "scan-cold", UpdatePercent: 5, RangePercent: 60, BufferDiv: 50, Concurrency: 8},
 	{Name: "search-cold", UpdatePercent: 5, Journal: false, BufferDiv: 50, ArrivalRate: 150_000},
 }
 
-// RunPipelineMix executes one mix. pipelined toggles speculative
-// prefetch and scan read-ahead on the same seed and workload.
+// RunPipelineMix executes one mix. pipelined toggles scan read-ahead on
+// the same seed and workload.
 func RunPipelineMix(scale Scale, mix PipelineMix, pipelined bool) RunStats {
 	if mix.Concurrency > 0 {
 		scale.Concurrency = mix.Concurrency
@@ -74,7 +70,7 @@ func RunPipelineMix(scale Scale, mix PipelineMix, pipelined bool) RunStats {
 	cfg := paTreeConfig(scale.PreloadKeys/mix.BufferDiv, core.StrongPersistence)
 	cfg.Journal = mix.Journal
 	if pipelined {
-		cfg.SpeculativePrefetch = true
+		cfg.ScanReadAhead = true
 	}
 	gen := workload.NewYCSB(workload.YCSBConfig{
 		Keys:          uint64(scale.PreloadKeys),
@@ -119,7 +115,7 @@ func PipelineSweep(scale Scale) []PipelineResult {
 }
 
 // FigPipeline regenerates the overlap figure: per-mix throughput and
-// tail latency with the machinery off and on.
+// tail latency with read-ahead off and on.
 func FigPipeline(scale Scale) Report {
 	tb := metrics.NewTable("mix", "classic (Kops/s)", "pipelined (Kops/s)", "speedup",
 		"classic p99 (us)", "pipelined p99 (us)")
@@ -129,5 +125,5 @@ func FigPipeline(scale Scale) Report {
 			float64(r.Off.P99Latency)/1e3, float64(r.On.P99Latency)/1e3)
 	}
 	return Report{ID: "figpipeline", Title: "Overlapped I/O and computation: classic vs pipelined polled loop", Table: tb,
-		Notes: "sibling read-ahead collapses the cold scan mix's serial leaf chains into parallel batches (~1.6x), point speculation trims the open-loop search mix's latency a few percent, and the journaled write mix is unchanged (~1.0x: both runs share the pipelined WAL writer); with the features off the schedules are byte-identical to the classic loop"}
+		Notes: "sibling read-ahead collapses the cold scan mix's serial leaf chains into parallel batches (~1.8x); the open-loop search mix and the journaled write mix have no scans and run identically in both configurations (1.0x: both runs share the pipelined WAL writer); with read-ahead off the schedules are byte-identical to the classic loop"}
 }

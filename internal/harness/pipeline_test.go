@@ -14,12 +14,11 @@ import (
 )
 
 // pipelineTraceRun drives one traced, journaled shard through a fixed
-// mixed workload and returns the Chrome trace. pipelined toggles the
-// overlap machinery — speculative child prefetch and scan read-ahead —
-// which by design DOES change the simulated I/O schedule;
-// what must hold is that any given configuration is same-seed
-// reproducible, and that the default (off) configuration is
-// byte-identical to an explicitly-disabled one.
+// mix of inserts, searches and short range scans and returns the Chrome
+// trace. pipelined toggles scan read-ahead, which by design DOES change
+// the simulated I/O schedule; what must hold is that any given
+// configuration is same-seed reproducible, and that the default (off)
+// configuration is byte-identical to an explicitly-disabled one.
 func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []byte {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -32,15 +31,14 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []
 	tracer := core.NewTracer(1 << 15)
 	cfg := core.Config{
 		Persistence: core.StrongPersistence,
-		BufferPages: 32, // tiny: point ops miss, so prefetch has work
+		BufferPages: 16, // tiny: scans miss their sibling leaves
 		Journal:     true,
 		Tracer:      tracer,
 	}
 	if pipelined {
-		cfg.SpeculativePrefetch = true
+		cfg.ScanReadAhead = true
 	} else if explicitOff {
-		cfg.SpeculativePrefetch = false
-		cfg.SpecBudget = 16 // budget without the switch must stay inert
+		cfg.ScanReadAhead = false
 	}
 	var tree *core.Tree
 	th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
@@ -49,32 +47,45 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []
 		t.Fatalf("new tree: %v", err)
 	}
 
-	rng := sim.NewRNG(seed ^ 0x919e)
-	const total = 400
+	// Load keySpace keys first, so the mixed phase runs against a tree
+	// far larger than the buffer and its scans wait on sibling leaves.
+	const keySpace, total = 512, 400
 	resolved := 0
-	eng.After(0, func() {
-		for i := 0; i < total; i++ {
-			key := 1 + rng.Uint64n(256)
-			var op *core.Op
-			if rng.Intn(100) < 60 {
-				op = core.NewInsert(key, []byte(fmt.Sprintf("v%d", key)), func(*core.Op) { resolved++ })
-			} else {
-				op = core.NewSearch(key, func(*core.Op) { resolved++ })
+	run := func(phase string, n int, mk func(i int) *core.Op) {
+		resolved = 0
+		eng.After(0, func() {
+			for i := 0; i < n; i++ {
+				tree.Admit(mk(i))
 			}
-			tree.Admit(op)
+		})
+		for resolved < n {
+			if !eng.Step() {
+				t.Fatalf("seed %d pipelined=%v: %s wedged at %d/%d", seed, pipelined, phase, resolved, n)
+			}
+		}
+	}
+	done := func(*core.Op) { resolved++ }
+	run("load", keySpace, func(i int) *core.Op {
+		return core.NewInsert(uint64(i+1), []byte(fmt.Sprintf("v%d", i+1)), done)
+	})
+	rng := sim.NewRNG(seed ^ 0x919e)
+	run("mix", total, func(int) *core.Op {
+		key := 1 + rng.Uint64n(keySpace)
+		switch r := rng.Intn(100); {
+		case r < 50:
+			return core.NewInsert(key, []byte(fmt.Sprintf("v%d", key)), done)
+		case r < 80:
+			return core.NewSearch(key, done)
+		default:
+			return core.NewRange(key, key+48, 0, done)
 		}
 	})
-	for resolved < total {
-		if !eng.Step() {
-			t.Fatalf("seed %d pipelined=%v: run wedged at %d/%d", seed, pipelined, resolved, total)
-		}
-	}
 	st := tree.StatsSnapshot()
-	if pipelined && st.SpecIssued == 0 {
-		t.Fatalf("seed %d: pipelined run issued no speculative reads — the workload no longer exercises the feature", seed)
+	if pipelined && (st.SpecIssued == 0 || st.SpecHits == 0) {
+		t.Fatalf("seed %d: pipelined run issued %d read-ahead reads with %d hits — the workload no longer exercises the feature", seed, st.SpecIssued, st.SpecHits)
 	}
 	if !pipelined && (st.SpecIssued != 0 || st.SpecHits != 0 || st.SpecCancelled != 0 || st.SpecWasted != 0) {
-		t.Fatalf("seed %d: speculation counters moved with the feature off: %+v", seed, st)
+		t.Fatalf("seed %d: read-ahead counters moved with the feature off: %+v", seed, st)
 	}
 	tree.Stop()
 	eng.RunFor(time.Second)
@@ -91,18 +102,18 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []
 }
 
 // TestPipelinedOffTraceDeterminism is the determinism regression for
-// the overlap machinery (ISSUE 10): the options default to off, and a
-// default-configured run must export a byte-identical trace to one
-// where speculation is explicitly disabled — the gates must leave the
-// classic reactive schedule untouched. If
-// this breaks, every pinned simulated experiment is suspect.
+// scan read-ahead: the option defaults to off, and a default-configured
+// run must export a byte-identical trace to one where read-ahead is
+// explicitly disabled — the gate must leave the classic reactive
+// schedule untouched. If this breaks, every pinned simulated experiment
+// is suspect.
 func TestPipelinedOffTraceDeterminism(t *testing.T) {
-	if (core.Config{}).SpeculativePrefetch {
-		t.Fatal("SpeculativePrefetch must default to off")
+	if (core.Config{}).ScanReadAhead {
+		t.Fatal("ScanReadAhead must default to off")
 	}
 	d := (core.Config{}).WithDefaults()
-	if d.SpeculativePrefetch {
-		t.Fatal("WithDefaults must not switch SpeculativePrefetch on")
+	if d.ScanReadAhead {
+		t.Fatal("WithDefaults must not switch ScanReadAhead on")
 	}
 	const seed = 42
 	def := pipelineTraceRun(t, seed, false, false)
@@ -117,15 +128,17 @@ func TestPipelinedOffTraceDeterminism(t *testing.T) {
 }
 
 // TestPipelinedOnTraceRepeatable pins that the pipelined configuration
-// is itself deterministic: speculation and scan read-ahead reshape the
-// I/O schedule, but the same seed must reshape it identically every
-// time — stress reproductions and the figpipeline experiment depend on
-// it.
+// is itself deterministic: scan read-ahead reshapes the I/O schedule,
+// but the same seed must reshape it identically every time — stress
+// reproductions and the figpipeline experiment depend on it.
 func TestPipelinedOnTraceRepeatable(t *testing.T) {
 	const seed = 77
 	on1 := pipelineTraceRun(t, seed, true, false)
 	on2 := pipelineTraceRun(t, seed, true, false)
 	if !bytes.Equal(on1, on2) {
 		t.Fatalf("seed %d: same-seed pipelined runs diverged (%d vs %d bytes)", seed, len(on1), len(on2))
+	}
+	if off := pipelineTraceRun(t, seed, false, false); bytes.Equal(on1, off) {
+		t.Fatalf("seed %d: read-ahead left the simulated trace unchanged — the workload no longer exercises it", seed)
 	}
 }

@@ -184,20 +184,14 @@ type Options struct {
 	// by default — the fast path adds worker-side publication work, and
 	// deterministic simulation runs keep it off to stay byte-identical.
 	ConcurrentReads bool
-	// Pipelined enables the overlapped polled loop (DESIGN.md §17), two
-	// coordinated pieces: speculative child prefetch (each worker walks
-	// drained operations' predicted descent paths through resident pages
-	// and issues the first missing page's read ahead of the operation's
-	// turn, budget-bounded and cancelled on mispredict; scans read their
-	// next leaves ahead the same way), and off-worker scan merge
-	// (multi-shard Scan results are k-way merged on the waiting goroutine
-	// instead of the last-finishing worker). Semantics are identical
-	// either way; off by default, and deterministic simulation runs keep
-	// it off — speculative reads reshape the simulated I/O schedule.
+	// Pipelined enables scan sibling read-ahead (DESIGN.md §17): when a
+	// range scan reaches the leaf level, its worker issues reads of the
+	// next few leaves together instead of discovering each one from the
+	// previous leaf's Next link. Read-ahead reads are bounded and dropped
+	// if a write of the page intervenes. Semantics are identical either
+	// way; off by default, and deterministic simulation runs keep it off
+	// — read-ahead reshapes the simulated I/O schedule.
 	Pipelined bool
-	// SpecBudget caps each shard's speculative prefetch reads in flight
-	// (0 = default 16). Ignored unless Pipelined.
-	SpecBudget int
 }
 
 // Stats reports tree activity, summed across shards.
@@ -232,11 +226,12 @@ type Stats struct {
 	// (0 unless Options.AdmissionWeighting; see ErrBacklog for the
 	// non-blocking paths' behavior).
 	ThrottleWaits uint64
-	// Speculative-prefetch counters (all 0 unless Options.Pipelined):
-	// reads issued ahead of need, operations that coalesced onto one,
-	// completions dropped on mispredict, and installs nobody was waiting
-	// for. Hits vs issued is the prediction accuracy; cancelled+wasted
-	// vs issued is the overhead speculation cost the device.
+	// Scan read-ahead reads (all 0 unless Options.Pipelined): reads
+	// issued ahead of need, operations that coalesced onto one,
+	// completions dropped because a write or another read got there
+	// first, and installs nobody was waiting for. Hits vs issued is how
+	// often read-ahead was on the critical path; cancelled+wasted vs
+	// issued is the overhead it cost the device.
 	SpecIssued    uint64
 	SpecHits      uint64
 	SpecCancelled uint64
@@ -283,12 +278,6 @@ type DB struct {
 	// concReads mirrors Options.ConcurrentReads; when set, read paths try
 	// the optimistic published-page descent before the pipeline.
 	concReads bool
-
-	// deferMerge mirrors Options.Pipelined's off-worker merge piece:
-	// fanned scans and syncs deliver their k-way merge lazily, to run on
-	// the goroutine that waits on the handle rather than on the working
-	// thread whose completion closed the scatter.
-	deferMerge bool
 }
 
 // minShardBlocks is the smallest device partition a shard accepts: room
@@ -339,7 +328,7 @@ func Open(opts Options) (*DB, error) {
 	if n > 1<<16-1 {
 		return nil, fmt.Errorf("patree: %d shards exceeds the format limit", n)
 	}
-	db := &DB{dev: dev, ownsDev: owns, devices: 1, concReads: opts.ConcurrentReads, deferMerge: opts.Pipelined}
+	db := &DB{dev: dev, ownsDev: owns, devices: 1, concReads: opts.ConcurrentReads}
 	if opts.AdmissionWeighting {
 		// The governor works the nominal depth; the physical ring is
 		// doubled below so a throttled topology still has the deeper ring
@@ -510,16 +499,15 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 		tracer = core.NewTracer(opts.TraceEvents)
 	}
 	tree, err := core.New(dev, core.Config{
-		Persistence:         opts.Persistence,
-		BufferPages:         bufferPages,
-		InboxDepth:          opts.InboxDepth,
-		Journal:             opts.Journal,
-		MaxIORetries:        opts.MaxIORetries,
-		Policy:              policy,
-		Tracer:              tracer,
-		ConcurrentReads:     opts.ConcurrentReads,
-		SpeculativePrefetch: opts.Pipelined,
-		SpecBudget:          opts.SpecBudget,
+		Persistence:     opts.Persistence,
+		BufferPages:     bufferPages,
+		InboxDepth:      opts.InboxDepth,
+		Journal:         opts.Journal,
+		MaxIORetries:    opts.MaxIORetries,
+		Policy:          policy,
+		Tracer:          tracer,
+		ConcurrentReads: opts.ConcurrentReads,
+		ScanReadAhead:   opts.Pipelined,
 	}, env, meta)
 	if err != nil {
 		return nil, err
